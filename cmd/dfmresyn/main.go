@@ -62,12 +62,10 @@ var (
 	maxQ       = flag.Int("q", 5, "maximum acceptable delay/power increase in percent")
 	seed       = flag.Int64("seed", 1, "random seed for the whole flow")
 	workers    = flag.Int("workers", 0, "fault-classification worker pool size (0 = NumCPU); any value gives identical tables")
-	diffCheck  = flag.Bool("diffcheck", false, "verify every incremental physical re-analysis against a from-scratch recompute (slow; debugging aid)")
 	lintMode   = flag.String("lint", "off", "static-analysis enforcement: off, warn, or strict (strict exits 2 on findings)")
-	staticPf   = flag.String("staticproof", "screen", "static implication screen: off, screen (prove undetectable faults with zero searches; tables byte-identical to off), or seed (also assert learned implications inside PODEM)")
+	staticPf   = flag.String("staticproof", "screen", "static implication screen: off or screen (prove undetectable faults with zero searches; tables byte-identical to off)")
 	satEsc     = flag.String("satescalate", "on", "CDCL SAT escalation for searches that exhaust the backtrack limit: on (aborted faults are re-solved to a definitive verdict, Abt column reads 0) or off (hard faults stay Aborted)")
 	dieSpec    = flag.String("die", "", "place into a fixed WxH die instead of the auto floorplan (e.g. 64x64); a circuit that does not fit exits 3")
-	spatial    = flag.String("spatial", "grid", "spatial index for the physical hot paths: grid (bucket index) or off (naive full scans; differential baseline). Tables are byte-identical either way")
 	fromVlog   = flag.String("fromverilog", "", "analyze a structural Verilog netlist file (as written by the flow's own writer) instead of a built-in circuit")
 	journal    = flag.String("journal", "", "checkpoint the sweep to this journal after every accepted iteration (resume with -resume)")
 	resumePath = flag.String("resume", "", "resume an interrupted sweep from this checkpoint journal (requires the same -circuit, -seed and sweep options)")
@@ -174,11 +172,7 @@ func run() (err error) {
 	}
 	smode, err := implic.ParseMode(*staticPf)
 	if err != nil {
-		return fmt.Errorf("bad -staticproof mode %q (off, screen, seed)", *staticPf)
-	}
-	spmode, err := geom.ParseSpatialMode(*spatial)
-	if err != nil {
-		return fmt.Errorf("bad -spatial mode %q (grid, off)", *spatial)
+		return fmt.Errorf("bad -staticproof mode %q (off, screen)", *staticPf)
 	}
 	var satOn bool
 	switch *satEsc {
@@ -271,14 +265,12 @@ func run() (err error) {
 	env.Seed = *seed
 	env.ATPG.Seed = *seed
 	env.Workers = *workers
-	env.DiffCheck = *diffCheck
 	env.Obs = tracer
 	env.Ctx = ctx
 	env.StageTimeout = *deadline
 	env.Lint = lmode
 	env.StaticProof = smode
 	env.SATEscalate = satOn
-	env.Spatial = spmode
 	env.Ledger = ledger
 	if *chaosRate > 0 {
 		env.ATPG.InjectPanic = chaos.Panics(*seed, *chaosRate)
@@ -382,8 +374,6 @@ func run() (err error) {
 				r.ATPGTime.Seconds(), r.Cache.HitRate(),
 				int(r.Cache.Lookups), r.Cache.Entries, staticProven,
 				r.Final.Metrics().Aborted, satEscalations, satConflicts))
-			fmt.Println(report.IncrRow(name, r.Incr.Analyses,
-				r.Incr.NetsReused, r.Incr.NetsRerouted))
 			// Provenance breakdown: the baseline analysis (cacheless) and
 			// the cache-bypassed signoff — both pure functions of (circuit,
 			// configuration), so these rows are stable across -workers,

@@ -56,12 +56,12 @@ type Config struct {
 	// Static selects the static implication screen (implic.Mode). Off
 	// disables it; Screen builds the implication closure once per run and
 	// classifies statically-proven undetectable faults before any PODEM
-	// search, leaving every table byte-identical to an unscreened run;
-	// Seed additionally asserts the learned implications inside PODEM's
-	// good-circuit deduction. The screen is applied atomically at the
-	// implication-closure boundary: a cancellation observed before it
-	// skips it entirely, so a cancelled run never carries partial static
-	// verdicts.
+	// search, leaving every table byte-identical to an unscreened run. A
+	// circuit above the closure's capacity (implic.MaxLiterals) runs
+	// unscreened and counts atpg/static_unavailable. The screen is applied
+	// atomically at the implication-closure boundary: a cancellation
+	// observed before it skips it entirely, so a cancelled run never
+	// carries partial static verdicts.
 	Static implic.Mode
 	// InjectPanic, when non-nil, is the chaos hook: it is consulted before
 	// every PODEM search with the fault's ID and the attempt number (0 for
@@ -344,7 +344,6 @@ func Run(c *netlist.Circuit, l *fault.List, cfg Config) Result {
 	// phase is skipped when cancellation is already observed — it either
 	// contributes every verdict the closure supports or none, never a
 	// partial set.
-	var eng *implic.Engine
 	if cfg.Static != implic.ModeOff && !resilience.Done(ctx) {
 		anyUntried := false
 		for _, f := range l.Faults {
@@ -355,7 +354,12 @@ func Run(c *netlist.Circuit, l *fault.List, cfg Config) Result {
 		}
 		if anyUntried {
 			spStatic := obs.Start(cfg.Obs, "atpg/static", obs.Int("faults", len(l.Faults)))
-			eng = implic.New(c)
+			eng := implic.New(c)
+			if eng == nil {
+				// Above the closure's capacity the screen proves nothing;
+				// count it so the shutdown is never silent.
+				cfg.Obs.Counter("atpg/static_unavailable").Inc()
+			}
 			for i, f := range l.Faults {
 				if f.Status == fault.Untried && eng.Undetectable(f) {
 					f.Status = fault.Undetectable
@@ -371,9 +375,6 @@ func Run(c *netlist.Circuit, l *fault.List, cfg Config) Result {
 				obs.Int("constants", st.Constants))
 			spStatic.End()
 		}
-	}
-	if cfg.Static != implic.ModeSeed {
-		eng = nil // screen mode must not perturb the searches
 	}
 
 	// Phase 1: random pattern pairs with fault dropping; keep only tests
@@ -416,13 +417,6 @@ func Run(c *netlist.Circuit, l *fault.List, cfg Config) Result {
 	hbounds = append(hbounds, float64(cfg.BacktrackLimit))
 	hBacktracks := cfg.Obs.Histogram("atpg/podem_backtracks_per_search", hbounds...)
 	gens := make([]*Generator, workers)
-	newGen := func() *Generator {
-		g := NewGenerator(c, order, levels, cfg.BacktrackLimit)
-		if eng != nil {
-			g.SeedImplications(eng)
-		}
-		return g
-	}
 	remaining := append([]int(nil), activeOf(unclassified)...)
 	spPodem := obs.Start(cfg.Obs, "atpg/podem", obs.Int("remaining", len(remaining)))
 	type outcomeRec struct {
@@ -466,9 +460,6 @@ func Run(c *netlist.Circuit, l *fault.List, cfg Config) Result {
 	// SAT escalation tier: LimitExceeded outcomes are re-resolved to
 	// completion in the sequential merge (never inside a parallel batch), so
 	// memo reads/writes, counters and verdicts stay scheduling-invariant.
-	// The escalator seeds static implications only in ModeSeed — the same
-	// rule PODEM follows — so each static mode keeps its documented
-	// table-identity property.
 	var esc *Escalator
 	var satMemo map[fcache.Key]bool
 	cSatEsc := cfg.Obs.Counter("atpg/sat_escalations")
@@ -478,7 +469,7 @@ func Run(c *netlist.Circuit, l *fault.List, cfg Config) Result {
 	cSatUndetectable := cfg.Obs.Counter("atpg/sat_undetectable")
 	cSatMemoHits := cfg.Obs.Counter("atpg/sat_memo_hits")
 	if cfg.SATEscalate {
-		esc = NewEscalator(c, eng)
+		esc = NewEscalator(c)
 		satMemo = make(map[fcache.Key]bool)
 	}
 	escalate := func(i int, f *fault.Fault) (SearchOutcome, *TestVec, obs.Tier, int64) {
@@ -530,13 +521,13 @@ func Run(c *netlist.Circuit, l *fault.List, cfg Config) Result {
 			g := gens[w]
 			gens[w] = nil
 			if g == nil {
-				g = newGen()
+				g = NewGenerator(c, order, levels, cfg.BacktrackLimit)
 			}
 			gens[w] = search(g, j, 0)
 		}, func(j int) {
 			// Retry once on a brand-new generator; a second panic
 			// quarantines the fault (EachGuard recovers it too).
-			search(newGen(), j, 1)
+			search(NewGenerator(c, order, levels, cfg.BacktrackLimit), j, 1)
 		})
 		if rep.Err != nil {
 			// Cancelled mid-batch: discard the whole batch unmerged, so the

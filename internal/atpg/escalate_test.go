@@ -7,7 +7,6 @@ import (
 
 	"dfmresyn/internal/fault"
 	"dfmresyn/internal/faultsim"
-	"dfmresyn/internal/implic"
 	"dfmresyn/internal/switchsim"
 )
 
@@ -51,7 +50,7 @@ func TestEscalatorBruteStuckAt(t *testing.T) {
 	singles := allSingle()
 	for trial := 0; trial < 8; trial++ {
 		c := randCircuit(rng, 7)
-		esc := NewEscalator(c, nil)
+		esc := NewEscalator(c)
 		eng := faultsim.New(c)
 		for _, n := range c.Nets {
 			for v := uint8(0); v <= 1; v++ {
@@ -72,7 +71,7 @@ func TestEscalatorBruteTransition(t *testing.T) {
 	pairs := allPairs()
 	for trial := 0; trial < 6; trial++ {
 		c := randCircuit(rng, 7)
-		esc := NewEscalator(c, nil)
+		esc := NewEscalator(c)
 		eng := faultsim.New(c)
 		for _, n := range c.Nets {
 			for v := uint8(0); v <= 1; v++ {
@@ -88,7 +87,7 @@ func TestEscalatorBruteBridge(t *testing.T) {
 	singles := allSingle()
 	for trial := 0; trial < 8; trial++ {
 		c := randCircuit(rng, 7)
-		esc := NewEscalator(c, nil)
+		esc := NewEscalator(c)
 		eng := faultsim.New(c)
 		for k := 0; k < 10; k++ {
 			a := c.Gates[rng.Intn(len(c.Gates))].Out
@@ -108,7 +107,7 @@ func TestEscalatorBruteCellAware(t *testing.T) {
 	pairs := allPairs()
 	for trial := 0; trial < 6; trial++ {
 		c := randCircuit(rng, 7)
-		esc := NewEscalator(c, nil)
+		esc := NewEscalator(c)
 		eng := faultsim.New(c)
 		for k := 0; k < 6; k++ {
 			g := c.Gates[rng.Intn(len(c.Gates))]
@@ -173,29 +172,6 @@ func TestEscalationMatchesUnlimitedPODEM(t *testing.T) {
 	}
 }
 
-// TestEscalationSeedModeSound: asserting static implications inside the CNF
-// (Static seed mode) must not change any verdict.
-func TestEscalationSeedModeSound(t *testing.T) {
-	rng := rand.New(rand.NewSource(106))
-	c := randCircuit(rng, 30)
-
-	ref := DefaultConfig()
-	ref.BacktrackLimit = 1 << 30
-	refSt, _, _ := runSnapshot(c, ref)
-
-	cfg := DefaultConfig()
-	cfg.BacktrackLimit = 1
-	cfg.SATEscalate = true
-	cfg.Static = implic.ModeSeed
-	st, _, res := runSnapshot(c, cfg)
-	if res.Aborted != 0 {
-		t.Errorf("%d faults still Aborted with escalation on", res.Aborted)
-	}
-	if !reflect.DeepEqual(st, refSt) {
-		t.Errorf("seed-mode escalated statuses differ from unlimited PODEM")
-	}
-}
-
 // TestEscalationByteIdenticalAcrossWorkers extends the engine's scheduling
 // contract to the escalation tier: statuses, tests and every SAT counter
 // must be identical at any worker count.
@@ -240,7 +216,7 @@ func FuzzCNF(f *testing.F) {
 		ng := 3 + int(gates%10)
 		rng := rand.New(rand.NewSource(seed))
 		c := randCircuit(rng, ng)
-		esc := NewEscalator(c, nil)
+		esc := NewEscalator(c)
 		eng := faultsim.New(c)
 		switch model % 3 {
 		case 0: // stuck-at, stem and branch

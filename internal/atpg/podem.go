@@ -9,7 +9,6 @@ import (
 	"sort"
 
 	"dfmresyn/internal/fault"
-	"dfmresyn/internal/implic"
 	"dfmresyn/internal/library"
 	"dfmresyn/internal/logic"
 	"dfmresyn/internal/netlist"
@@ -83,14 +82,6 @@ type podem struct {
 
 	// v5tab caches per-cell five-valued evaluation tables.
 	v5tab map[*library.Cell]*logic.V5Table
-
-	// learned, when non-nil (seed mode), is the static implication engine
-	// whose constants and learned implications are asserted into the
-	// good-circuit deduction after every simulation pass. cone is the
-	// fault-effect cone of the current injection: only nets outside it
-	// may inherit an asserted good value as their composite value.
-	learned *implic.Engine
-	cone    []bool
 }
 
 func newPodem(c *netlist.Circuit, order []*netlist.Gate, levels []int, limit int) *podem {
@@ -132,9 +123,6 @@ func (p *podem) search(rng *rand.Rand) (SearchOutcome, []uint8) {
 		p.piVal[i] = -1
 	}
 	p.backtracks = 0
-	if p.learned != nil {
-		p.computeCone()
-	}
 	var stack []decision
 
 	for {
@@ -217,9 +205,6 @@ func (p *podem) imply() {
 		}
 		p.good[g.Out.ID] = p.evalGate(g, gin)
 	}
-	if p.learned != nil {
-		p.assertLearned()
-	}
 
 	// Pass 2: faulty-composite values with the injection applied.
 	for _, n := range p.c.PIs {
@@ -248,92 +233,7 @@ func (p *podem) imply() {
 		} else {
 			fv = p.evalGate(g, fin)
 		}
-		v := p.injectStem(g.Out, fv)
-		if p.learned != nil && v == logic.X && !p.cone[g.Out.ID] {
-			// Outside the fault-effect cone faulty equals good, so an
-			// asserted good value is also the composite value.
-			if gb, known := p.good[g.Out.ID].Good(); known {
-				v = logic.FromBit(gb)
-			}
-		}
-		p.vals[g.Out.ID] = v
-	}
-}
-
-// assertLearned strengthens the good-circuit ternary values with the
-// static engine's facts: constants, the implication closure of every
-// known good value, and the gate re-evaluations those assertions
-// unlock, iterated to fixpoint. Primary inputs are never asserted —
-// they belong to the search (and to the random fill of found vectors).
-// Every asserted value is a sound consequence of the current partial
-// assignment, so pruning stays exact and the search stays complete.
-func (p *podem) assertLearned() {
-	e := p.learned
-	var gbuf [8]logic.V5
-	e.ForEachConstant(func(n int, v uint8) {
-		if p.good[n] == logic.X && !p.c.Nets[n].IsPI {
-			p.good[n] = logic.FromBit(v)
-		}
-	})
-	for {
-		changed := false
-		for n := range p.good {
-			gb, known := p.good[n].Good()
-			if !known {
-				continue
-			}
-			e.ForEachImplied(implic.MkLit(n, gb), func(m int, w uint8) {
-				if p.good[m] == logic.X && !p.c.Nets[m].IsPI {
-					p.good[m] = logic.FromBit(w)
-					changed = true
-				}
-			})
-		}
-		for _, g := range p.order {
-			if p.good[g.Out.ID] != logic.X {
-				continue
-			}
-			gin := gbuf[:len(g.Fanin)]
-			for i, in := range g.Fanin {
-				gin[i] = p.good[in.ID]
-			}
-			if v := p.evalGate(g, gin); v != logic.X {
-				p.good[g.Out.ID] = v
-				changed = true
-			}
-		}
-		if !changed {
-			return
-		}
-	}
-}
-
-// computeCone marks the fault-effect cone of the current injection: the
-// site net and its transitive fanout. A pure justification run has no
-// site and an empty cone.
-func (p *podem) computeCone() {
-	if p.cone == nil {
-		p.cone = make([]bool, len(p.c.Nets))
-	}
-	for i := range p.cone {
-		p.cone[i] = false
-	}
-	site := p.siteNet()
-	if site == nil {
-		return
-	}
-	p.cone[site.ID] = true
-	queue := []*netlist.Net{site}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, pin := range n.Fanout {
-			out := pin.Gate.Out
-			if !p.cone[out.ID] {
-				p.cone[out.ID] = true
-				queue = append(queue, out)
-			}
-		}
+		p.vals[g.Out.ID] = p.injectStem(g.Out, fv)
 	}
 }
 
@@ -897,21 +797,6 @@ func (gen *Generator) Backtracks() int { return gen.p.btTotal }
 // levels and order its levelized gates.
 func NewGenerator(c *netlist.Circuit, order []*netlist.Gate, levels []int, limit int) *Generator {
 	return &Generator{p: newPodem(c, order, levels, limit)}
-}
-
-// SeedImplications arms every subsequent search with a static
-// implication engine built over the same circuit (seed mode): after
-// each good-value simulation pass the engine's constants and the
-// implications of the known good values are asserted into the
-// deduction, which satisfies objectives without decisions and detects
-// dead branches earlier, cutting backtracks. Assertions are sound
-// consequences of the partial assignment, so searches remain complete;
-// primary inputs are never asserted. A nil engine is ignored. The
-// engine is read-only here and may be shared across generators.
-func (gen *Generator) SeedImplications(e *implic.Engine) {
-	if e != nil {
-		gen.p.learned = e
-	}
 }
 
 // GenerateOne runs complete PODEM searches for fault f and returns either a

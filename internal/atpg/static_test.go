@@ -2,11 +2,14 @@ package atpg
 
 import (
 	"context"
+	"fmt"
+	"io"
 	"testing"
 
 	"dfmresyn/internal/fault"
 	"dfmresyn/internal/implic"
 	"dfmresyn/internal/netlist"
+	"dfmresyn/internal/obs"
 )
 
 // buildAbsorbList: x = AND(a,b), y = OR(x,a) — x sa0 is undetectable
@@ -78,5 +81,59 @@ func TestStaticScreenCancellationAtomic(t *testing.T) {
 		if f.Status != fault.Untried {
 			t.Errorf("fault %d has status %v after a pre-cancelled run, want Untried", f.ID, f.Status)
 		}
+	}
+}
+
+// TestStaticScreenCapacityCliff: above implic.MaxLiterals/2 nets the
+// closure is not built. The run must count atpg/static_unavailable once,
+// prove nothing statically, and leave verdicts and the ledger digest
+// identical to a screen-off run.
+func TestStaticScreenCapacityCliff(t *testing.T) {
+	c := netlist.New("wide", lib)
+	a := c.AddPI("a")
+	b := c.AddPI("b")
+	x := c.AddGate("u0", lib.ByName("AND2X2"), a, b)
+	c.MarkPO(c.AddGate("u1", lib.ByName("OR2X2"), x, a))
+	for i := 0; len(c.Nets) <= implic.MaxLiterals/2; i++ {
+		p := c.AddPI(fmt.Sprintf("p%d", i))
+		q := c.AddPI(fmt.Sprintf("q%d", i))
+		c.MarkPO(c.AddGate(fmt.Sprintf("f%d", i), lib.ByName("NAND2X1"), p, q))
+	}
+	if implic.New(c) != nil {
+		t.Fatalf("%d nets should exceed the closure capacity", len(c.Nets))
+	}
+	run := func(mode implic.Mode) (*fault.List, Result, *obs.Tracer, string) {
+		l := &fault.List{}
+		for _, n := range []*netlist.Net{a, b, x} {
+			for v := uint8(0); v <= 1; v++ {
+				l.Add(&fault.Fault{Model: fault.StuckAt, Net: n, Value: v})
+			}
+		}
+		tr := obs.New()
+		led := obs.NewLedger(io.Discard)
+		res := Run(c, l, Config{Seed: 5, Workers: 1, Static: mode, Obs: tr, Ledger: led, Stage: "analyze"})
+		return l, res, tr, led.Digest()
+	}
+	lOff, off, trOff, digOff := run(implic.ModeOff)
+	lScr, scr, trScr, digScr := run(implic.ModeScreen)
+	if n := trScr.Registry().Snapshot().Counters["atpg/static_unavailable"]; n != 1 {
+		t.Errorf("atpg/static_unavailable = %d with the screen on, want 1", n)
+	}
+	if n := trOff.Registry().Snapshot().Counters["atpg/static_unavailable"]; n != 0 {
+		t.Errorf("atpg/static_unavailable = %d with the screen off, want 0", n)
+	}
+	if scr.StaticProven != 0 {
+		t.Errorf("StaticProven = %d without a closure", scr.StaticProven)
+	}
+	if off.Undetectable == 0 {
+		t.Fatal("the redundant fault x sa0 was not proven undetectable")
+	}
+	for i := range lOff.Faults {
+		if lOff.Faults[i].Status != lScr.Faults[i].Status {
+			t.Errorf("fault %d: status %v (off) vs %v (screen)", i, lOff.Faults[i].Status, lScr.Faults[i].Status)
+		}
+	}
+	if digOff != digScr {
+		t.Errorf("ledger digest %s (off) vs %s (screen)", digOff, digScr)
 	}
 }

@@ -27,47 +27,26 @@ func (r *Report) hit(g *Guideline) {
 // library profile, and external stuck-at / transition / bridging faults
 // from the routed layout. The result is deterministic for a given layout.
 func BuildFaults(c *netlist.Circuit, lay *route.Layout, prof *LibraryProfile) (*fault.List, *Report) {
-	l, rep, _ := BuildFaultsScan(c, lay, prof)
+	l, rep, _ := BuildFaultsStats(c, lay, prof)
 	return l, rep
 }
 
-// BuildFaultsScan is BuildFaults plus the geometry-scan log: the raw
-// pre-deduplication bridge and density triggers in scan order, which
-// BuildFaultsIncremental replays outside a dirty region instead of
-// re-scanning the whole die.
-func BuildFaultsScan(c *netlist.Circuit, lay *route.Layout, prof *LibraryProfile) (*fault.List, *Report, *Scan) {
-	l, rep, scan, _ := BuildFaultsScanStats(c, lay, prof, geom.SpatialGrid)
-	return l, rep, scan
-}
-
-// BuildFaultsScanStats is BuildFaultsScan with an explicit spatial-index
-// mode and scan-cost accounting. SpatialGrid drives the bridge phase off
-// the layout's occupied-cell set and the density phase off per-window
-// aggregate indexes; SpatialOff keeps the original full-die walks. The
-// fault list, report and scan log are byte-identical across modes — only
-// ScanStats (and wall time) differ.
-func BuildFaultsScanStats(c *netlist.Circuit, lay *route.Layout, prof *LibraryProfile, mode geom.SpatialMode) (*fault.List, *Report, *Scan, ScanStats) {
-	b := newBuilder(c, lay, mode)
+// BuildFaultsStats is BuildFaults plus scan-cost accounting. The bridge
+// phase walks the layout's occupied-cell set and the density phase reads
+// per-window aggregate indexes instead of walking the whole die; ScanStats
+// records what each examined against the naive full-die baselines.
+func BuildFaultsStats(c *netlist.Circuit, lay *route.Layout, prof *LibraryProfile) (*fault.List, *Report, ScanStats) {
+	b := newBuilder(c, lay)
 	b.internal(prof)
 	b.vias()
-	if mode == geom.SpatialGrid {
-		b.bridgesIndexed(nil, nil, nil)
-	} else {
-		b.bridges(nil, nil, nil)
-	}
+	b.bridgesIndexed()
 	b.segments()
-	if mode == geom.SpatialGrid {
-		b.densitiesIndexed()
-	} else {
-		b.densities(nil, nil, nil)
-	}
+	b.densitiesIndexed()
 	b.finishStats()
-	return b.list, b.rep, b.scan, b.stats
+	return b.list, b.rep, b.stats
 }
 
-// netRule / pinRule / pairRule key the per-phase deduplication maps. The
-// maps are rebuilt fresh on every (full or incremental) build, so splicing
-// replayed triggers with re-scanned ones cannot double-report a violation.
+// netRule / pinRule / pairRule key the per-phase deduplication maps.
 type netRule struct {
 	net int
 	gid string
@@ -82,45 +61,36 @@ type pairRule struct {
 }
 
 // builder assembles the fault list and report from per-phase violation
-// triggers, logging the grid-scan phases into a Scan for later replay.
+// triggers.
 type builder struct {
 	c    *netlist.Circuit
 	lay  *route.Layout
 	gs   []*Guideline
 	list *fault.List
 	rep  *Report
-	scan *Scan
 
 	bridgeHits map[pairRule]bool
 	densHits   map[netRule]bool
 
-	// mode selects the spatial-index backing; stats tallies scan costs.
-	mode  geom.SpatialMode
+	// stats tallies scan costs.
 	stats ScanStats
 	// acc is the density-window accumulator shared across every window
 	// and guideline evaluation of this build; dens caches per-layer
 	// window-aggregate indexes keyed by window size.
 	acc  *winAcc
 	dens [2]map[int]*densityIndex
-
-	// ok drops to false when an incremental replay hits a trigger it
-	// cannot remap (the caller then falls back to a full build).
-	ok bool
 }
 
-func newBuilder(c *netlist.Circuit, lay *route.Layout, mode geom.SpatialMode) *builder {
+func newBuilder(c *netlist.Circuit, lay *route.Layout) *builder {
 	return &builder{
 		c:          c,
 		lay:        lay,
 		gs:         Guidelines(),
 		list:       &fault.List{},
 		rep:        newReport(),
-		scan:       &Scan{},
 		bridgeHits: map[pairRule]bool{},
 		densHits:   map[netRule]bool{},
-		mode:       mode,
 		acc:        newWinAcc(len(c.Nets)),
-		ok:         true,
 	}
 }
 
@@ -148,8 +118,7 @@ func (b *builder) internal(prof *LibraryProfile) {
 
 // vias adds external via opens -> transition faults on the net. An open at
 // a *pin* via (M1 stack) disconnects a single sink, so it becomes a branch
-// fault at that gate input; other vias break the stem. Cheap (O(vias)), so
-// both full and incremental builds recompute it from the current layout.
+// fault at that gate input; other vias break the stem.
 func (b *builder) vias() {
 	viaHits := map[netRule]bool{}
 	pinHits := map[pinRule]bool{}
@@ -220,15 +189,6 @@ func (b *builder) applyBridge(g *Guideline, aID, bID int) {
 	b.list.Add(&fault.Fault{Model: fault.Bridge, Net: nb, Other: na, Guideline: g.ID})
 }
 
-// emitBridge logs one raw bridge trigger and applies it.
-func (b *builder) emitBridge(li, x, y, gi, aID, bID int) {
-	b.scan.Bridges = append(b.scan.Bridges, BridgeEvent{
-		Layer: uint8(li), X: int32(x), Y: int32(y),
-		G: uint16(gi), A: int32(aID), B: int32(bID),
-	})
-	b.applyBridge(b.gs[gi], aID, bID)
-}
-
 // scanBridgeCell produces the raw bridge triggers of one grid cell from the
 // current layout: same-cell crowding first, then the adjacent-cell minimum
 // pitch, each over the guidelines in deck order.
@@ -236,9 +196,9 @@ func (b *builder) scanBridgeCell(li int, layer route.Layer, x, y int, occ []int3
 	if len(occ) >= 2 {
 		if a, bid, ok := firstDistinct(occ); ok {
 			b.stats.BridgePairs++
-			for gi, g := range b.gs {
+			for _, g := range b.gs {
 				if g.CheckSpacing != nil && g.CheckSpacing(layer, len(occ), false) {
-					b.emitBridge(li, x, y, gi, a, bid)
+					b.applyBridge(g, a, bid)
 				}
 			}
 		}
@@ -246,63 +206,16 @@ func (b *builder) scanBridgeCell(li int, layer route.Layer, x, y int, occ []int3
 	if len(occ) >= 1 {
 		if nb := neighborOcc(b.lay, li, x, y); nb >= 0 && nb != int(occ[0]) {
 			b.stats.BridgePairs++
-			for gi, g := range b.gs {
+			for _, g := range b.gs {
 				if g.CheckSpacing != nil && g.CheckSpacing(layer, len(occ), true) {
-					b.emitBridge(li, x, y, gi, int(occ[0]), nb)
+					b.applyBridge(g, int(occ[0]), nb)
 				}
 			}
 		}
 	}
 }
 
-// bridges walks the occupancy grid in scan order. In a full build (prev ==
-// nil) every cell is scanned. In an incremental build, cells for which
-// dirty() is false replay the previous build's triggers (with net IDs
-// remapped) and dirty cells are re-scanned, their stale logged triggers
-// skipped; the merge preserves exact scan order. Note the pitch check of
-// cell (x,y) reads (x+1,y), so callers must treat a cell as dirty when its
-// right neighbor is.
-func (b *builder) bridges(prev []BridgeEvent, dirty func(li, x, y int) bool, remap []int32) {
-	pi := 0
-	atCell := func(li, x, y int) bool {
-		e := &prev[pi]
-		return int(e.Layer) == li && int(e.X) == x && int(e.Y) == y
-	}
-	for li := 0; li < 2; li++ {
-		layer := route.Layer(li) + route.M2
-		for y := range b.lay.Occ[li] {
-			rowCells := b.lay.Occ[li][y]
-			for x := range rowCells {
-				b.stats.CellsVisited++
-				if prev == nil || dirty(li, x, y) {
-					if prev != nil {
-						for pi < len(prev) && atCell(li, x, y) {
-							pi++ // stale: superseded by the re-scan
-						}
-					}
-					b.scanBridgeCell(li, layer, x, y, rowCells[x])
-					continue
-				}
-				for pi < len(prev) && atCell(li, x, y) {
-					e := &prev[pi]
-					pi++
-					a, bid := remapID(remap, e.A), remapID(remap, e.B)
-					if a < 0 || bid < 0 {
-						b.ok = false
-						return
-					}
-					b.scan.Bridges = append(b.scan.Bridges, BridgeEvent{
-						Layer: e.Layer, X: e.X, Y: e.Y, G: e.G, A: a, B: bid,
-					})
-					b.applyBridge(b.gs[e.G], int(a), int(bid))
-				}
-			}
-		}
-	}
-}
-
-// segments adds external long-segment opens -> transition faults. Like
-// vias, cheap enough to recompute from the current layout on every build.
+// segments adds external long-segment opens -> transition faults.
 func (b *builder) segments() {
 	segHits := map[netRule]bool{}
 	for _, n := range b.c.Nets {
@@ -347,96 +260,6 @@ func (b *builder) applyDensity(g *Guideline, dom int) {
 			Value:     val,
 			Guideline: g.ID,
 		})
-	}
-}
-
-// emitDensity logs one raw density trigger and applies it.
-func (b *builder) emitDensity(gi, li int, w geom.Rect, dom int) {
-	b.scan.Densities = append(b.scan.Densities, DensityEvent{
-		G: uint16(gi), Layer: uint8(li), X: int32(w.X0), Y: int32(w.Y0),
-		Dom: int32(dom),
-	})
-	b.applyDensity(b.gs[gi], dom)
-}
-
-// scanDensityWindow evaluates one window from the current layout and emits
-// its trigger when the density guideline fires. The per-net counts go
-// through the builder's shared accumulator instead of a fresh map per
-// window — same dominant verdict, no per-window allocation.
-func (b *builder) scanDensityWindow(gi, li int, layer route.Layer, w geom.Rect) {
-	g := b.gs[gi]
-	used := 0
-	b.acc.reset()
-	b.stats.DensityCellReads += int64(w.Area())
-	for y := w.Y0; y < w.Y1; y++ {
-		for x := w.X0; x < w.X1; x++ {
-			occ := b.lay.Occ[li][y][x]
-			if len(occ) > 0 {
-				used++
-			}
-			for _, id := range occ {
-				b.acc.add(id)
-			}
-		}
-	}
-	d := float64(used) / float64(w.Area())
-	if !g.CheckDensity(layer, d) {
-		return
-	}
-	dom := b.acc.dominant()
-	if dom < 0 {
-		return
-	}
-	b.emitDensity(gi, li, w, dom)
-}
-
-// densities walks every density guideline's window grid in deck order. In
-// an incremental build, windows not overlapping the dirty region replay
-// their previous trigger (remapped); overlapping windows are recomputed,
-// their stale triggers skipped.
-func (b *builder) densities(prev []DensityEvent, dirtyRect func(geom.Rect) bool, remap []int32) {
-	pi := 0
-	for gi, g := range b.gs {
-		if g.CheckDensity == nil {
-			continue
-		}
-		for li := 0; li < 2; li++ {
-			layer := route.Layer(li) + route.M2
-			geom.Windows(b.lay.P.Die, g.Window, g.Window, func(w geom.Rect) {
-				if !b.ok {
-					return
-				}
-				if prev == nil {
-					b.scanDensityWindow(gi, li, layer, w)
-					return
-				}
-				atWindow := func() bool {
-					e := &prev[pi]
-					return int(e.G) == gi && int(e.Layer) == li &&
-						int(e.X) == w.X0 && int(e.Y) == w.Y0
-				}
-				if dirtyRect(w) {
-					for pi < len(prev) && atWindow() {
-						pi++ // stale: superseded by the re-scan
-					}
-					b.scanDensityWindow(gi, li, layer, w)
-					return
-				}
-				for pi < len(prev) && atWindow() {
-					e := &prev[pi]
-					pi++
-					dom := remapID(remap, e.Dom)
-					if dom < 0 {
-						b.ok = false
-						return
-					}
-					b.scan.Densities = append(b.scan.Densities, DensityEvent{
-						G: e.G, Layer: e.Layer, X: e.X, Y: e.Y, Dom: dom,
-					})
-					b.applyDensity(b.gs[e.G], int(dom))
-				}
-			})
-		}
 	}
 }
 

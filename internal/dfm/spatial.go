@@ -9,9 +9,10 @@ import (
 
 // ScanStats reports how much geometry a DFM build examined versus what the
 // naive scans would have: the observable half of the spatial-index
-// contract (the other half — byte-identical output — is enforced by the
-// differential harness). The flow publishes these as obs counters and the
-// benchflow report derives its pair-reduction column from them.
+// contract (the other half, output identical to the naive full-die walks,
+// is enforced by the oracle in this package's tests). The flow publishes
+// these as obs counters and the benchflow report derives its
+// pair-reduction column from them.
 type ScanStats struct {
 	// CellsVisited counts the occupancy cells the bridge scan touched;
 	// CellsNaive is the full-die walk it replaced (2 layers x die area).
@@ -163,14 +164,13 @@ func (b *builder) domAt(di *densityIndex, li, wi int, w geom.Rect) int {
 	return dom
 }
 
-// densitiesIndexed is the grid-mode full-build density phase: the same
-// deck-order window walk as the naive phase, but each window reads its
-// precomputed occupancy count, and only windows whose guideline fires
-// resolve a dominant net. Emission order and content are byte-identical
-// to the naive walk.
+// densitiesIndexed is the density phase: every density guideline's window
+// grid in deck order, but each window reads its precomputed occupancy
+// count, and only windows whose guideline fires resolve a dominant net.
+// The faults it adds, and their order, equal a naive per-window rescan.
 func (b *builder) densitiesIndexed() {
 	die := b.lay.P.Die
-	for gi, g := range b.gs {
+	for _, g := range b.gs {
 		if g.CheckDensity == nil {
 			continue
 		}
@@ -187,77 +187,22 @@ func (b *builder) densitiesIndexed() {
 				if dom < 0 {
 					return
 				}
-				b.emitDensity(gi, li, w, dom)
+				b.applyDensity(g, dom)
 			})
 		}
 	}
 }
 
-// bridgesIndexed is the grid-mode bridge phase: instead of walking every
-// die cell, it walks the merged union of (a) the layout's occupied cells
-// and (b) the cells carrying previous-build events, both already in scan
-// order (layer, row, column). Cells in neither set contribute nothing in
-// the naive walk — an empty cell can neither trigger a spacing guideline
-// nor replay an event — so the merged walk emits the exact same event
-// stream. prev == nil (a full build) degenerates to the occupied-cell
-// walk alone.
-func (b *builder) bridgesIndexed(prev []BridgeEvent, dirty func(li, x, y int) bool, remap []int32) {
-	pi := 0
-	atCell := func(li, x, y int) bool {
-		e := &prev[pi]
-		return int(e.Layer) == li && int(e.X) == x && int(e.Y) == y
-	}
+// bridgesIndexed is the bridge phase: instead of walking every die cell,
+// it walks the layout's occupied cells in scan order (layer, row, column).
+// An empty cell can trigger no spacing guideline, so the faults it adds,
+// and their order, equal a full-die walk.
+func (b *builder) bridgesIndexed() {
 	for li := 0; li < 2; li++ {
 		layer := route.Layer(li) + route.M2
-		cells := b.lay.OccCells(li)
-		ci := 0
-		for {
-			haveC := ci < len(cells)
-			haveE := prev != nil && pi < len(prev) && int(prev[pi].Layer) == li
-			if !haveC && !haveE {
-				break
-			}
-			var x, y int
-			switch {
-			case haveC && haveE:
-				cp := cells[ci]
-				ex, ey := int(prev[pi].X), int(prev[pi].Y)
-				if cp.Y < ey || (cp.Y == ey && cp.X <= ex) {
-					x, y = cp.X, cp.Y
-				} else {
-					x, y = ex, ey
-				}
-			case haveC:
-				x, y = cells[ci].X, cells[ci].Y
-			default:
-				x, y = int(prev[pi].X), int(prev[pi].Y)
-			}
-			if haveC && cells[ci] == (geom.Pt{X: x, Y: y}) {
-				ci++
-			}
+		for _, p := range b.lay.OccCells(li) {
 			b.stats.CellsVisited++
-			if prev == nil || dirty(li, x, y) {
-				if prev != nil {
-					for pi < len(prev) && atCell(li, x, y) {
-						pi++ // stale: superseded by the re-scan
-					}
-				}
-				b.scanBridgeCell(li, layer, x, y, b.lay.Occ[li][y][x])
-				continue
-			}
-			for pi < len(prev) && atCell(li, x, y) {
-				e := &prev[pi]
-				pi++
-				a, bid := remapID(remap, e.A), remapID(remap, e.B)
-				if a < 0 || bid < 0 {
-					b.ok = false
-					return
-				}
-				b.scan.Bridges = append(b.scan.Bridges, BridgeEvent{
-					Layer: e.Layer, X: e.X, Y: e.Y, G: e.G, A: a, B: bid,
-				})
-				b.applyBridge(b.gs[e.G], int(a), int(bid))
-			}
+			b.scanBridgeCell(li, layer, p.X, p.Y, b.lay.Occ[li][p.Y][p.X])
 		}
 	}
 }

@@ -54,20 +54,9 @@ type Env struct {
 	// verdict instead of re-entering PODEM. resyn installs one per run so
 	// the whole q-sweep shares it.
 	FaultCache *fcache.Cache
-	// FullPhysical forces AnalyzeIncremental to re-route and re-check the
-	// whole die from scratch instead of splicing the previous layout. It
-	// exists as the baseline side of the differential harness: a
-	// FullPhysical analysis and an incremental one must produce
-	// byte-identical designs.
-	FullPhysical bool
-	// DiffCheck verifies every incremental route and DFM result against a
-	// from-scratch recompute (route.DiffLayouts / dfm.DiffUniverse) and
-	// fails the analysis on any divergence. Expensive — it negates the
-	// incremental speedup — so it is a debugging/CI mode.
-	DiffCheck bool
 	// Obs, when non-nil, receives a span per pipeline stage (place, route,
-	// dfm, atpg, cluster — and their incremental variants) plus stage
-	// counters, giving every analysis per-phase wall-time and allocation
+	// dfm, atpg, cluster — and the ECO placement of incremental analyses)
+	// plus stage counters, giving every analysis per-phase wall-time and allocation
 	// attribution. nil is a zero-overhead no-op; tracing never changes any
 	// analysis result.
 	Obs *obs.Tracer
@@ -84,7 +73,7 @@ type Env struct {
 	// a wedged stage, and expiry aborts the analysis like a cancellation.
 	StageTimeout time.Duration
 	// StaticProof selects the static implication screen applied before
-	// every PODEM phase (implic.ModeOff, ModeScreen or ModeSeed; see
+	// every PODEM phase (implic.ModeOff or ModeScreen; see
 	// atpg.Config.Static). NewEnv defaults to ModeScreen: statically
 	// proven undetectable faults skip their searches while all tables
 	// stay byte-identical to an unscreened run. A zero-valued Env leaves
@@ -96,13 +85,6 @@ type Env struct {
 	// every verdict matches an unlimited search. NewEnv defaults it on; a
 	// zero-valued Env leaves it off.
 	SATEscalate bool
-	// Spatial selects the spatial-index backing of the physical hot paths
-	// (DFM bridge/density scans, the incremental router's dirty-region
-	// test). The zero value is geom.SpatialGrid — the production default;
-	// geom.SpatialOff keeps the original full scans as the differential
-	// harness's baseline. Every analysis result is byte-identical across
-	// modes.
-	Spatial geom.SpatialMode
 	// Ledger, when non-nil, is the run flight recorder: every fault-
 	// classification stage the environment runs appends one stage record
 	// plus per-fault verdict provenance (see obs.Ledger and atpg.Config.
@@ -110,17 +92,6 @@ type Env struct {
 	// not emit — its analyses are advisory, not verdict stages. nil is off
 	// and free.
 	Ledger *obs.Ledger
-}
-
-// IncrStats summarizes what an AnalyzeIncremental call reused from the
-// previous design.
-type IncrStats struct {
-	// RouteReused / RouteRerouted count nets replayed verbatim from the
-	// previous layout vs. routed fresh.
-	RouteReused, RouteRerouted int
-	// DFMIncremental is true when the fault universe was spliced from the
-	// previous scan log rather than rebuilt by a full die scan.
-	DFMIncremental bool
 }
 
 // atpgConfig resolves the effective test-generation configuration: the
@@ -173,15 +144,9 @@ type Design struct {
 	// LintFindings holds the static-analysis findings recorded when the
 	// environment's lint mode is warn or strict (nil when off).
 	LintFindings []lint.Finding
-	// DFMScan is the replayable geometry-scan log of the DFM check; the
-	// next AnalyzeIncremental splices it instead of re-scanning the die.
-	DFMScan *dfm.Scan
 	// DFMStats reports how much geometry the DFM scan examined versus the
-	// naive baselines (candidate-pair and cell reductions). Informational:
-	// it varies with Env.Spatial while everything else stays identical.
+	// naive baselines (candidate-pair and cell reductions). Informational.
 	DFMStats dfm.ScanStats
-	// Incr reports what AnalyzeIncremental reused (nil for full analyses).
-	Incr *IncrStats
 }
 
 // lintDesign runs the static analyzer over whatever artifacts the design
@@ -204,12 +169,12 @@ func (e *Env) lintDesign(d *Design) error {
 	return nil
 }
 
-// analyzeFaults is the analysis tail shared by Analyze and
+// analyzeFaults is the analysis tail shared by Analyze, VerifyFaults and
 // AnalyzeIncremental: build the DFM fault universe from the layout, then
 // classify it.
 func (e *Env) analyzeFaults(d *Design, stage string) error {
 	sp := obs.Start(e.Obs, "flow/dfm")
-	d.Faults, d.DFMRep, d.DFMScan, d.DFMStats = dfm.BuildFaultsScanStats(d.C, d.Lay, e.Prof, e.Spatial)
+	d.Faults, d.DFMRep, d.DFMStats = dfm.BuildFaultsStats(d.C, d.Lay, e.Prof)
 	sp.Annotate(obs.Int("faults", d.Faults.Len()))
 	sp.End()
 	e.Obs.Counter("dfm/full_builds").Inc()
@@ -320,18 +285,13 @@ func (e *Env) VerifyFaults(d *Design) (*Design, error) {
 	return &nd, nil
 }
 
-// AnalyzeIncremental is Analyze with ECO-style physical re-analysis: gates
-// shared with the previous design keep their locations and only new gates
-// are placed, the router replays every net the placement diff provably did
-// not disturb, and the DFM check replays its previous scan log outside the
-// router's dirty region. This is how the resynthesis procedure re-runs
-// PDesign() so that the unchanged portion of the layout — and its timing —
-// stays put, at a cost proportional to the edit rather than the die.
-//
-// The incremental path is pinned to the full pipeline: with Env.DiffCheck
-// it is verified byte-identical against a from-scratch recompute, and with
-// Env.FullPhysical it *is* the from-scratch recompute (the differential
-// harness runs both and compares).
+// AnalyzeIncremental is Analyze with ECO-style placement: gates shared
+// with the previous design keep their locations and only new gates are
+// placed, so the unchanged portion of the layout — and its timing — stays
+// put. This is how the resynthesis procedure re-runs PDesign(). Routing,
+// timing, power and the DFM check then run over the whole die exactly as
+// in Analyze: the physical stages are a small share of an analysis, and a
+// full re-route measured no slower than splicing the previous layout.
 func (e *Env) AnalyzeIncremental(c *netlist.Circuit, prev *Design) (*Design, error) {
 	spAll := obs.Start(e.Obs, "flow/analyze_incr", obs.Int("gates", len(c.Gates)))
 	defer spAll.End()
@@ -340,12 +300,11 @@ func (e *Env) AnalyzeIncremental(c *netlist.Circuit, prev *Design) (*Design, err
 	}
 	e.Obs.Counter("flow/incremental_analyses").Inc()
 	// Canonicalize the rebuilt circuit's net/gate order against the
-	// previous one: kept nets keep their relative order, which is the
-	// incremental router's reuse precondition. FullPhysical applies the
-	// same reorder so both harness sides analyze the same circuit.
+	// previous one, so kept nets keep their relative order (and with it
+	// the router's congestion history) from one iteration to the next.
 	c = netlist.ReorderLike(c, prev.C)
 	spPlace := obs.Start(e.Obs, "flow/place_incr")
-	p, diff, err := place.PlaceIncremental(c, prev.P, e.Seed)
+	p, err := place.PlaceIncremental(c, prev.P, e.Seed)
 	spPlace.End()
 	if err != nil {
 		return nil, fmt.Errorf("flow: %w", err)
@@ -353,59 +312,8 @@ func (e *Env) AnalyzeIncremental(c *netlist.Circuit, prev *Design) (*Design, err
 	if err := p.VerifyLegal(); err != nil {
 		return nil, fmt.Errorf("flow: %w", err)
 	}
-	d := &Design{Env: e, C: c, Die: p.Die, P: p, Incr: &IncrStats{}}
-	var rst *route.IncrStats
-	spRoute := obs.Start(e.Obs, "flow/route_incr")
-	if e.FullPhysical {
-		d.Lay = route.Route(p)
-		d.Incr.RouteRerouted = len(d.Lay.Routes)
-	} else {
-		d.Lay, rst = route.RouteIncrementalMode(p, prev.Lay, diff.Region, e.Spatial)
-		d.Incr.RouteReused = rst.Reused
-		d.Incr.RouteRerouted = rst.Rerouted
-	}
-	// The dirty-region net counts: how much of the die each re-analysis
-	// actually touched.
-	e.Obs.Counter("route/nets_reused").Add(int64(d.Incr.RouteReused))
-	e.Obs.Counter("route/nets_rerouted").Add(int64(d.Incr.RouteRerouted))
-	spRoute.Annotate(obs.Int("reused", d.Incr.RouteReused),
-		obs.Int("rerouted", d.Incr.RouteRerouted))
-	spRoute.End()
-	if rst != nil && e.DiffCheck {
-		if msg := route.DiffLayouts(route.Route(p), d.Lay); msg != "" {
-			return nil, fmt.Errorf("flow: diffcheck: incremental route diverges from full route: %s", msg)
-		}
-	}
-	spSTA := obs.Start(e.Obs, "flow/sta_power")
-	loads := sta.LoadFromLayout(d.Lay)
-	d.Timing = sta.Analyze(c, loads)
-	d.Power = power.Estimate(c, loads, 4, e.Seed)
-	spSTA.End()
-	if rst != nil && rst.OrderStable && prev.DFMScan != nil {
-		spDFM := obs.Start(e.Obs, "flow/dfm_incr")
-		fl, rep, scan, stats, ok := dfm.BuildFaultsIncrementalStats(c, d.Lay, e.Prof, prev.DFMScan, rst.Remap, rst.Dirty, e.Spatial)
-		spDFM.End()
-		if ok {
-			if e.DiffCheck {
-				wl, wr, _ := dfm.BuildFaultsScan(c, d.Lay, e.Prof)
-				if msg := dfm.DiffUniverse(wl, wr, fl, rep); msg != "" {
-					return nil, fmt.Errorf("flow: diffcheck: incremental fault universe diverges from full build: %s", msg)
-				}
-			}
-			d.Faults, d.DFMRep, d.DFMScan, d.DFMStats = fl, rep, scan, stats
-			d.Incr.DFMIncremental = true
-			e.Obs.Counter("dfm/incremental_builds").Inc()
-			e.publishScanStats(stats)
-		}
-	}
-	if d.Faults == nil {
-		spDFM := obs.Start(e.Obs, "flow/dfm")
-		d.Faults, d.DFMRep, d.DFMScan, d.DFMStats = dfm.BuildFaultsScanStats(c, d.Lay, e.Prof, e.Spatial)
-		spDFM.End()
-		e.Obs.Counter("dfm/full_builds").Inc()
-		e.publishScanStats(d.DFMStats)
-	}
-	if err := e.classifyFaults(d, "analyze-incr"); err != nil {
+	d := e.routeAndTime(c, p)
+	if err := e.analyzeFaults(d, "analyze-incr"); err != nil {
 		return nil, err
 	}
 	return d, nil
@@ -432,6 +340,16 @@ func (e *Env) PhysicalOnly(c *netlist.Circuit, die geom.Rect) (*Design, error) {
 	if err := p.VerifyLegal(); err != nil {
 		return nil, fmt.Errorf("flow: %w", err)
 	}
+	d := e.routeAndTime(c, p)
+	if err := e.lintDesign(d); err != nil {
+		return nil, fmt.Errorf("flow: %w", err)
+	}
+	return d, nil
+}
+
+// routeAndTime routes a legal placement and runs timing and power analysis
+// on the routed loads.
+func (e *Env) routeAndTime(c *netlist.Circuit, p *place.Placement) *Design {
 	spRoute := obs.Start(e.Obs, "flow/route", obs.Int("nets", len(c.Nets)))
 	lay := route.Route(p)
 	spRoute.End()
@@ -441,10 +359,7 @@ func (e *Env) PhysicalOnly(c *netlist.Circuit, die geom.Rect) (*Design, error) {
 	d.Timing = sta.Analyze(c, loads)
 	d.Power = power.Estimate(c, loads, 4, e.Seed)
 	spSTA.End()
-	if err := e.lintDesign(d); err != nil {
-		return nil, fmt.Errorf("flow: %w", err)
-	}
-	return d, nil
+	return d
 }
 
 // InternalFaultList builds the internal-only fault list of a netlist (no

@@ -191,8 +191,8 @@ func TestMetricsPhysicalOnly(t *testing.T) {
 }
 
 // TestLintIncrementalSpliceCorruption: the pipe/placement-bounds and
-// pipe/route-layers rules must hold on an incrementally produced layout —
-// and must catch a corrupted splice when we break one by hand.
+// pipe/route-layers rules must hold on the layout of an ECO-placed
+// re-analysis — and must catch a corrupted layout when we break one by hand.
 func TestLintIncrementalSpliceCorruption(t *testing.T) {
 	env := testEnv()
 	c := bench.MustBuild("sparc_tlu", env.Lib)
@@ -214,8 +214,18 @@ func TestLintIncrementalSpliceCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Incr == nil || d.Incr.RouteReused == 0 {
-		t.Fatal("analysis was not incremental; the lint check would be vacuous")
+	origLoc := map[string]geom.Pt{}
+	for _, g := range orig.C.Gates {
+		origLoc[g.Name] = orig.P.Loc[g.ID]
+	}
+	kept := 0
+	for _, g := range d.C.Gates {
+		if loc, ok := origLoc[g.Name]; ok && d.P.Loc[g.ID] == loc {
+			kept++
+		}
+	}
+	if kept == 0 {
+		t.Fatal("no gate kept its location; the placement was not incremental")
 	}
 	ctx := &lint.Context{Circuit: d.C, Placement: d.P, Layout: d.Lay}
 	if fs := lint.Run(ctx); lint.CountAtLeast(fs, lint.Error) > 0 {
@@ -230,7 +240,7 @@ func TestLintIncrementalSpliceCorruption(t *testing.T) {
 		}
 		t.Errorf("expected a %s finding, got %v", rule, fs)
 	}
-	// Splice corruption 1: a replayed segment lands on an undeclared layer.
+	// Corruption 1: a segment lands on an undeclared layer.
 	for i := range d.Lay.Routes {
 		if len(d.Lay.Routes[i].Segs) > 0 {
 			d.Lay.Routes[i].Segs[0].Layer = route.M1
@@ -238,7 +248,7 @@ func TestLintIncrementalSpliceCorruption(t *testing.T) {
 		}
 	}
 	wantRule(lint.Run(ctx), "pipe/route-layers")
-	// Splice corruption 2: a kept gate's location escapes the die.
+	// Corruption 2: a kept gate's location escapes the die.
 	d.P.Loc[d.C.Gates[0].ID] = geom.Pt{X: d.P.Die.X1 + 3, Y: d.P.Die.Y0}
 	wantRule(lint.Run(ctx), "pipe/placement-bounds")
 }

@@ -72,65 +72,6 @@ func BBox(pts []Pt) Rect {
 	return r
 }
 
-// Region is a set of rectangles — the incremental pipeline's dirty area:
-// the part of the die whose placement, routing or occupancy may differ from
-// a previous analysis. The zero value is the empty region.
-type Region struct {
-	Rects []Rect
-}
-
-// Add appends a rectangle to the region; empty rectangles are dropped.
-func (r *Region) Add(rc Rect) {
-	if rc.Area() > 0 {
-		r.Rects = append(r.Rects, rc)
-	}
-}
-
-// Empty reports whether the region covers no area.
-func (r *Region) Empty() bool { return len(r.Rects) == 0 }
-
-// Intersects reports whether any rectangle of the region overlaps rc.
-func (r *Region) Intersects(rc Rect) bool {
-	for _, o := range r.Rects {
-		if o.Intersects(rc) {
-			return true
-		}
-	}
-	return false
-}
-
-// Contains reports whether the point lies inside the region.
-func (r *Region) Contains(p Pt) bool {
-	for _, o := range r.Rects {
-		if o.Contains(p) {
-			return true
-		}
-	}
-	return false
-}
-
-// Mask rasterizes the region over bounds into a row-major bitmap of size
-// bounds.W()*bounds.H(): index (y-Y0)*W + (x-X0) is true when the cell lies
-// inside the region. Scans over large areas test cells through the mask in
-// O(1) instead of O(len(Rects)).
-func (r *Region) Mask(bounds Rect) []bool {
-	w, h := bounds.W(), bounds.H()
-	if w <= 0 || h <= 0 {
-		return nil
-	}
-	m := make([]bool, w*h)
-	for _, rc := range r.Rects {
-		c := rc.Clip(bounds)
-		for y := c.Y0; y < c.Y1; y++ {
-			row := (y - bounds.Y0) * w
-			for x := c.X0; x < c.X1; x++ {
-				m[row+x-bounds.X0] = true
-			}
-		}
-	}
-	return m
-}
-
 // HPWL returns the half-perimeter wirelength of a point set.
 func HPWL(pts []Pt) int {
 	if len(pts) == 0 {

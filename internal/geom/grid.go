@@ -1,45 +1,6 @@
 package geom
 
-import (
-	"fmt"
-	"sort"
-)
-
-// SpatialMode selects the geometry engine behind the physical hot paths:
-// the uniform grid-bucket index (the default) or the naive linear and
-// pairwise scans it replaced, kept as a differential baseline and escape
-// hatch (`-spatial=off`). Both modes are exact — they must produce
-// byte-identical layouts, fault universes and tables; the root
-// spatial_test.go harness enforces that contract.
-type SpatialMode int
-
-const (
-	// SpatialGrid indexes segments/rects in uniform grid buckets with
-	// deterministic, ID-ordered iteration. The zero value, so a
-	// zero-valued flow.Env gets the production engine.
-	SpatialGrid SpatialMode = iota
-	// SpatialOff uses the original linear scans everywhere.
-	SpatialOff
-)
-
-// String names the mode the way the -spatial flag spells it.
-func (m SpatialMode) String() string {
-	if m == SpatialOff {
-		return "off"
-	}
-	return "grid"
-}
-
-// ParseSpatialMode parses a -spatial flag value.
-func ParseSpatialMode(s string) (SpatialMode, error) {
-	switch s {
-	case "grid":
-		return SpatialGrid, nil
-	case "off":
-		return SpatialOff, nil
-	}
-	return SpatialGrid, fmt.Errorf("geom: unknown spatial mode %q (want grid or off)", s)
-}
+import "sort"
 
 // GridItem is one indexed rectangle.
 type GridItem struct {
@@ -115,7 +76,7 @@ func (g *Grid) bucketSpan(r Rect) (bx0, by0, bx1, by1 int) {
 }
 
 // Insert adds the rectangle under the given ID; empty rectangles are
-// dropped (matching Region.Add). IDs need not be unique.
+// dropped. IDs need not be unique.
 func (g *Grid) Insert(id int32, r Rect) {
 	if r.Area() <= 0 {
 		return
@@ -129,26 +90,6 @@ func (g *Grid) Insert(id int32, r Rect) {
 		}
 	}
 	g.n++
-}
-
-// Intersects reports whether any inserted rectangle overlaps r — the
-// existence query behind the incremental router's dirty test. Exact: the
-// answer equals a brute-force scan over every inserted rectangle.
-func (g *Grid) Intersects(r Rect) bool {
-	if r.Area() <= 0 || g.n == 0 {
-		return false
-	}
-	bx0, by0, bx1, by1 := g.bucketSpan(r)
-	for by := by0; by <= by1; by++ {
-		for bx := bx0; bx <= bx1; bx++ {
-			for _, it := range g.bkts[by*g.nx+bx] {
-				if it.R.Intersects(r) {
-					return true
-				}
-			}
-		}
-	}
-	return false
 }
 
 // Query appends the IDs of all rectangles overlapping r to dst and returns

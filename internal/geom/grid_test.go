@@ -52,27 +52,6 @@ func TestRectEdgeCases(t *testing.T) {
 	}
 }
 
-func TestRegionEdgeCases(t *testing.T) {
-	var r Region
-	r.Add(Rect{-5, -5, -1, -1})
-	r.Add(Rect{2, 2, 2, 9}) // zero-area: dropped
-	if len(r.Rects) != 1 {
-		t.Fatalf("zero-area rect not dropped: %+v", r.Rects)
-	}
-	if !r.Intersects(Rect{-2, -2, 3, 3}) {
-		t.Error("negative-coord region intersection missed")
-	}
-	if r.Intersects(Rect{-1, -5, 4, -1}) {
-		t.Error("edge-touching query must not intersect region")
-	}
-	if r.Intersects(Rect{0, 0, 0, 10}) {
-		t.Error("zero-area query must not intersect region")
-	}
-	if !r.Contains(Pt{-5, -5}) || r.Contains(Pt{-1, -1}) {
-		t.Error("region Contains must stay half-open at negative coords")
-	}
-}
-
 // bruteQuery is the reference the grid must match: scan every item.
 func bruteQuery(items []GridItem, r Rect) []int32 {
 	var ids []int32
@@ -131,9 +110,6 @@ func TestGridQueryMatchesBruteForce(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("trial %d probe %+v (cell %d): grid %v != brute %v", trial, probe, cell, got, want)
-			}
-			if g.Intersects(probe) != (len(want) > 0) {
-				t.Fatalf("trial %d probe %+v: Intersects disagrees with Query", trial, probe)
 			}
 		}
 	}
@@ -253,25 +229,5 @@ func TestCellSet(t *testing.T) {
 	s.Add(Pt{0, 0})
 	if got := s.Cells(); got[0] != (Pt{0, 0}) {
 		t.Fatalf("Cells after second Add = %v", got)
-	}
-}
-
-func TestSpatialModeParse(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want SpatialMode
-		err  bool
-	}{{"grid", SpatialGrid, false}, {"off", SpatialOff, false}, {"rtree", SpatialGrid, true}} {
-		got, err := ParseSpatialMode(tc.in)
-		if (err != nil) != tc.err || got != tc.want {
-			t.Errorf("ParseSpatialMode(%q) = %v, %v", tc.in, got, err)
-		}
-	}
-	if SpatialGrid.String() != "grid" || SpatialOff.String() != "off" {
-		t.Error("String round-trip wrong")
-	}
-	var zero SpatialMode
-	if zero != SpatialGrid {
-		t.Error("zero SpatialMode must be the grid (production default)")
 	}
 }

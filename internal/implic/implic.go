@@ -29,7 +29,7 @@ import (
 // Mode selects how the static engine participates in ATPG.
 type Mode uint8
 
-// The three staticproof modes.
+// The two staticproof modes.
 const (
 	// ModeOff disables the static screen entirely.
 	ModeOff Mode = iota
@@ -37,10 +37,6 @@ const (
 	// leaves the searches themselves untouched, so every table is
 	// byte-identical to a run without the screen.
 	ModeScreen
-	// ModeSeed additionally asserts learned implications inside PODEM's
-	// good-circuit deduction, cutting backtracks at the cost of a
-	// (still sound and deterministic) different search trajectory.
-	ModeSeed
 )
 
 // String names the mode using the CLI spelling.
@@ -50,8 +46,6 @@ func (m Mode) String() string {
 		return "off"
 	case ModeScreen:
 		return "screen"
-	case ModeSeed:
-		return "seed"
 	}
 	return fmt.Sprintf("mode(%d)", uint8(m))
 }
@@ -63,10 +57,8 @@ func ParseMode(s string) (Mode, error) {
 		return ModeOff, nil
 	case "screen":
 		return ModeScreen, nil
-	case "seed":
-		return ModeSeed, nil
 	}
-	return ModeOff, fmt.Errorf("implic: unknown staticproof mode %q (want off, screen or seed)", s)
+	return ModeOff, fmt.Errorf("implic: unknown staticproof mode %q (want off or screen)", s)
 }
 
 // Lit encodes the literal net=val as 2*netID+val.

@@ -230,7 +230,6 @@ func TestParseMode(t *testing.T) {
 	}{
 		{"off", implic.ModeOff},
 		{"screen", implic.ModeScreen},
-		{"seed", implic.ModeSeed},
 	} {
 		m, err := implic.ParseMode(tc.in)
 		if err != nil || m != tc.want {
@@ -240,41 +239,9 @@ func TestParseMode(t *testing.T) {
 			t.Errorf("Mode(%v).String() = %q, want %q", m, m.String(), tc.in)
 		}
 	}
-	if _, err := implic.ParseMode("bogus"); err == nil {
-		t.Error("ParseMode(bogus) should fail")
-	}
-}
-
-// TestSeededSearchAgreesOnMux runs every stuck-at fault of an
-// irredundant circuit through plain and implication-seeded PODEM: both
-// must find tests (seeding must not break completeness or soundness).
-func TestSeededSearchAgreesOnMux(t *testing.T) {
-	c := netlist.New("mux", lib)
-	a := c.AddPI("a")
-	b := c.AddPI("b")
-	s := c.AddPI("s")
-	sn := c.AddGate("u0", lib.ByName("INVX1"), s)
-	t1 := c.AddGate("u1", lib.ByName("NAND2X1"), a, sn)
-	t2 := c.AddGate("u2", lib.ByName("NAND2X1"), b, s)
-	y := c.AddGate("u3", lib.ByName("NAND2X1"), t1, t2)
-	c.MarkPO(y)
-
-	order := c.Levelize()
-	levels := c.Levels()
-	e := implic.New(c)
-	for _, n := range c.Nets {
-		for v := uint8(0); v <= 1; v++ {
-			f := &fault.Fault{Model: fault.StuckAt, Net: n, Value: v}
-			if e.Undetectable(f) {
-				t.Errorf("screen claims sa%d@%s on an irredundant mux", v, n.Name)
-				continue
-			}
-			g := atpg.NewGenerator(c, order, levels, 100000)
-			g.SeedImplications(e)
-			out, tv := g.Generate(f, rand.New(rand.NewSource(3)))
-			if out != atpg.FoundTest || tv == nil {
-				t.Errorf("seeded search: sa%d@%s outcome %v, want test", v, n.Name, out)
-			}
+	for _, bad := range []string{"bogus", "seed"} {
+		if _, err := implic.ParseMode(bad); err == nil {
+			t.Errorf("ParseMode(%q) should fail", bad)
 		}
 	}
 }

@@ -14,7 +14,7 @@ func TestIncrementalIdenticalNetlist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, diff, err := PlaceIncremental(c, p, 1)
+	p2, err := PlaceIncremental(c, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,9 +25,6 @@ func TestIncrementalIdenticalNetlist(t *testing.T) {
 	}
 	if p.WireLength() != p2.WireLength() {
 		t.Error("wirelength changed for identical netlist")
-	}
-	if diff.NewGates != 0 || diff.RemovedGates != 0 || !diff.Region.Empty() {
-		t.Errorf("identical netlist produced a non-empty diff: %+v", diff)
 	}
 }
 
@@ -58,36 +55,24 @@ func TestIncrementalAfterEdit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	p2, diff, err := PlaceIncremental(nc, p, 1)
+	p2, err := PlaceIncremental(nc, p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The diff covers every fresh footprint and every freed one.
-	if diff.NewGates == 0 || diff.RemovedGates == 0 {
-		t.Fatalf("rebuild should add and remove gates, diff = %+v", diff)
-	}
-	curNames := map[string]bool{}
-	for _, g := range nc.Gates {
-		curNames[g.Name] = true
-	}
-	for _, g := range c.Gates {
-		if !curNames[g.Name] {
-			loc := p.Loc[g.ID]
-			if !diff.Region.Contains(loc) {
-				t.Errorf("freed footprint of removed gate %s not in diff region", g.Name)
-			}
-		}
-	}
-	oldNames := map[string]bool{}
+	// The rebuild must both add and remove gates, or the test is vacuous.
+	oldNames, curNames := map[string]bool{}, map[string]bool{}
 	for _, g := range c.Gates {
 		oldNames[g.Name] = true
 	}
+	added := 0
 	for _, g := range nc.Gates {
+		curNames[g.Name] = true
 		if !oldNames[g.Name] {
-			if !diff.Region.Contains(p2.Loc[g.ID]) {
-				t.Errorf("footprint of new gate %s not in diff region", g.Name)
-			}
+			added++
 		}
+	}
+	if added == 0 || len(curNames)-added == len(oldNames) {
+		t.Fatalf("rebuild should add and remove gates (added %d)", added)
 	}
 	// Kept gates (same name) stay put.
 	oldLoc := map[string]geom.Pt{}
@@ -150,7 +135,7 @@ func TestIncrementalOutOfSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := PlaceIncremental(nc, p, 1); err == nil {
+	if _, err := PlaceIncremental(nc, p, 1); err == nil {
 		t.Error("expected out-of-space error for a massively grown netlist")
 	}
 }

@@ -88,18 +88,6 @@ func PerfRow(name string, workers int, atpgSeconds, hitRate float64, lookups, en
 		name, workers, atpgSeconds, cache, static, aborted, sat)
 }
 
-// IncrRow renders the incremental physical re-analysis activity of a
-// resynthesis run: how many PDesign() calls ran incrementally and what
-// fraction of net routes they replayed instead of re-routing.
-func IncrRow(name string, analyses, netsReused, netsRerouted int) string {
-	reuse := 0.0
-	if total := netsReused + netsRerouted; total > 0 {
-		reuse = 100 * float64(netsReused) / float64(total)
-	}
-	return fmt.Sprintf("%-12s incr  analyses=%-4d nets reused=%d rerouted=%d (%5.1f%% reuse)",
-		name, analyses, netsReused, netsRerouted, reuse)
-}
-
 // ResilienceRow renders what a run survived: worker panics recovered by
 // the retry ladder, faults quarantined after a second panic, cache entries
 // dropped by the integrity check, and journal commits replayed by a resume.

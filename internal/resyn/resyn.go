@@ -159,9 +159,6 @@ type Result struct {
 	// undetectable-internal screens — shares one cache, so the hit rate
 	// here is the cross-iteration reuse the resynthesis loop achieves.
 	Cache fcache.Stats
-	// Incr totals the incremental physical re-analysis activity across
-	// the sweep's PDesign() calls.
-	Incr IncrTotals
 	// Iters records one telemetry row per accepted iteration, in commit
 	// order — the |S_max|, |U| and backtracking-effort trajectory of the
 	// sweep (the quantitative series behind Fig. 2, also exported through
@@ -223,19 +220,6 @@ type IterStats struct {
 	// cache hits than the original run had at that commit — so the row-level
 	// Tiers of replayed commits are informational, not identity-checked.
 	Tiers obs.TierCounts
-}
-
-// IncrTotals accumulates flow.IncrStats over every AnalyzeIncremental of a
-// resynthesis run.
-type IncrTotals struct {
-	// Analyses counts the incremental analyses that reported stats.
-	Analyses int
-	// NetsReused / NetsRerouted total the router's per-analysis counts.
-	NetsReused   int
-	NetsRerouted int
-	// DFMIncremental counts analyses whose fault universe was spliced
-	// from the previous scan log instead of a full die scan.
-	DFMIncremental int
 }
 
 // state carries the procedure's working data.
@@ -710,14 +694,6 @@ func (s *state) attempt(region *netlist.Region, allowed func(*library.Cell) bool
 		s.res.SATEscalations += newD.Result.SATEscalations
 		s.res.SATConflicts += newD.Result.SATConflicts
 		s.res.Tiers.Merge(newD.Result.Tiers)
-		if newD.Incr != nil {
-			s.res.Incr.Analyses++
-			s.res.Incr.NetsReused += newD.Incr.RouteReused
-			s.res.Incr.NetsRerouted += newD.Incr.RouteRerouted
-			if newD.Incr.DFMIncremental {
-				s.res.Incr.DFMIncremental++
-			}
-		}
 	}
 	if err != nil {
 		if errors.Is(err, resilience.ErrInterrupted) {
