@@ -67,13 +67,16 @@ bench:
 benchflow:
 	BENCH_FLOW_OUT=BENCH_flow.json $(GO) test -run TestBenchFlowJSON -timeout 30m .
 
-# Fast benchmark gate: every physical-path microbenchmark compiles and runs
-# one iteration under the race detector, and the 10k-gate tier builds and
-# checks cleanly — so `make check` catches a bit-rotted benchmark or scale
-# circuit without paying for a full -bench run.
+# Fast benchmark gate: every physical-path microbenchmark and the two ATPG
+# kernel microbenchmarks (fault-simulation detection words, PODEM search)
+# compile and run one iteration under the race detector, and the 10k-gate
+# tier builds and checks cleanly — so `make check` catches a bit-rotted
+# benchmark or scale circuit without paying for a full -bench run.
 bench-smoke:
-	$(GO) test -race -run 'TestScaleCircuits' -bench 'BenchmarkBuildFaults|BenchmarkRoute' \
-		-benchtime=1x ./internal/bench/ ./internal/dfm/ ./internal/route/
+	$(GO) test -race -run 'TestScaleCircuits' \
+		-bench 'BenchmarkBuildFaults|BenchmarkRoute|BenchmarkDetects|BenchmarkPODEM' \
+		-benchtime=1x ./internal/bench/ ./internal/dfm/ ./internal/route/ \
+		./internal/faultsim/ ./internal/atpg/
 
 # End-to-end smoke test of the observability exports: run the CLI on the
 # fastest benchmark with tracing on, then validate both files with obscheck

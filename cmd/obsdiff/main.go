@@ -5,8 +5,9 @@
 //   - verdict flips — a fault whose final status changed, a fault present in
 //     one run but not the other, or a structural mismatch (different stage
 //     sequence or iteration trace),
-//   - tier migrations — same verdict, decided by a different engine tier
-//     (informational: the answer held, the path to it moved),
+//   - tier migrations — same verdict (or the same iteration U, Smax and F),
+//     decided by a different engine tier (informational: the answer held,
+//     the path to it moved),
 //   - timing regressions — a search that got slower than -regress times its
 //     old cost (off by default, because wall time is the one
 //     non-deterministic field in a ledger).
@@ -238,7 +239,10 @@ func diffStages(d *differ, old, new *ledgerFile, regress float64, minUs int64) {
 
 // diffIters compares the resynthesis iteration traces record by record. A
 // diverged trace means the sweeps committed different resyntheses — a flip,
-// even when every per-fault verdict that was recorded happens to agree.
+// even when every per-fault verdict that was recorded happens to agree. The
+// records' tier breakdowns are compared separately: a commit whose U, Smax
+// and F agree but whose verdicts were decided by different tiers is a tier
+// migration, like a verdict's.
 func diffIters(d *differ, old, new *ledgerFile) {
 	n := len(old.iters)
 	if len(new.iters) != n {
@@ -248,11 +252,19 @@ func diffIters(d *differ, old, new *ledgerFile) {
 		}
 	}
 	for i := 0; i < n; i++ {
-		oc, err1 := obs.CanonicalLedger([]obs.LedgerRecord{old.iters[i]})
-		nc, err2 := obs.CanonicalLedger([]obs.LedgerRecord{new.iters[i]})
+		o, nw := old.iters[i], new.iters[i]
+		ot, nt := o.Tiers, nw.Tiers
+		o.Tiers, nw.Tiers = obs.TierCounts{}, obs.TierCounts{}
+		oc, err1 := obs.CanonicalLedger([]obs.LedgerRecord{o})
+		nc, err2 := obs.CanonicalLedger([]obs.LedgerRecord{nw})
 		if err1 != nil || err2 != nil || string(oc) != string(nc) {
 			d.report("flips", &d.flips, "iteration %d differs: %s -> %s",
 				i+1, trim(oc), trim(nc))
+			continue
+		}
+		if ot != nt {
+			d.report("migrations", &d.migrations, "iteration %d: tiers migrated %+v -> %+v",
+				i+1, ot, nt)
 		}
 	}
 }

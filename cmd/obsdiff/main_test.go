@@ -168,6 +168,42 @@ func TestIterationDivergenceExitsOne(t *testing.T) {
 	}
 }
 
+// iterTiers is iter with a tier breakdown and explicit Smax and F.
+func iterTiers(n, u, smax, f int, tiers obs.TierCounts) emit {
+	return func(l *obs.Ledger) {
+		l.Iter(obs.LedgerRecord{Q: 5, Phase: 1, Iter: n, U: u, Smax: smax, F: f, Tiers: tiers})
+	}
+}
+
+func TestIterationTierMigrationIsInformational(t *testing.T) {
+	base := baseline()
+	base[3] = iterTiers(1, 3, 3, 10, obs.TierCounts{Collateral: 7, Podem: 3})
+	a := writeLedger(t, "a.jsonl", base...)
+	moved := baseline()
+	moved[3] = iterTiers(1, 3, 3, 10, obs.TierCounts{Collateral: 7, Podem: 1, SAT: 2})
+	b := writeLedger(t, "b.jsonl", moved...)
+	out, _, code := diff(t, a, b)
+	if code != 0 {
+		t.Fatalf("tier-only iteration difference exited %d, want 0\n%s", code, out)
+	}
+	if !strings.Contains(out, "iteration 1: tiers migrated") || !strings.Contains(out, "1 tier migrations") {
+		t.Errorf("iteration migration not reported:\n%s", out)
+	}
+	// A U, Smax or F difference stays a flip, with or without a tier move.
+	for name, ev := range map[string]emit{
+		"u":    iterTiers(1, 2, 3, 10, obs.TierCounts{Collateral: 7, Podem: 1, SAT: 2}),
+		"smax": iterTiers(1, 3, 4, 10, obs.TierCounts{Collateral: 7, Podem: 3}),
+		"f":    iterTiers(1, 3, 3, 11, obs.TierCounts{Collateral: 7, Podem: 3}),
+	} {
+		diverged := baseline()
+		diverged[3] = ev
+		c := writeLedger(t, name+".jsonl", diverged...)
+		if out, _, code := diff(t, a, c); code != 1 {
+			t.Errorf("%s difference exited %d, want 1\n%s", name, code, out)
+		}
+	}
+}
+
 func TestStageMismatchExitsOne(t *testing.T) {
 	a := writeLedger(t, "a.jsonl", baseline()...)
 	b := writeLedger(t, "b.jsonl", baseline()[:3]...) // second stage gone

@@ -95,13 +95,15 @@ type Config struct {
 // DefaultBacktrackLimit is the per-search PODEM backtrack budget used
 // throughout the experiments: the single source for DefaultConfig, the
 // zero-value fallback in Run, and (via Config.BacktrackLimit) the top bucket
-// of the backtracks-per-search histogram.
-const DefaultBacktrackLimit = 12000
+// of the backtracks-per-search histogram. It is the PODEM→SAT handoff point:
+// with escalation on, a search past it is settled by the CDCL tier with the
+// same verdict, so the limit only trades PODEM tail time against solver
+// time. Of {100, 300, 1000, 3000, 12000}, all with identical tables, 300
+// was near the fastest on the Table II sweep; 100 was slightly faster there
+// but doubled the synth1k analysis with costly solves (DESIGN.md §15).
+const DefaultBacktrackLimit = 300
 
 // DefaultConfig returns the configuration used throughout the experiments.
-// The backtrack limit is sized so that redundancy proofs that must exhaust
-// the value space of a ~12-input cone (consensus-style redundancy wrapped
-// around comparators) complete instead of aborting.
 func DefaultConfig() Config {
 	return Config{BacktrackLimit: DefaultBacktrackLimit, RandomBlocks: 6, Seed: 1}
 }

@@ -9,7 +9,6 @@ import (
 	"sort"
 
 	"dfmresyn/internal/fault"
-	"dfmresyn/internal/library"
 	"dfmresyn/internal/logic"
 	"dfmresyn/internal/netlist"
 )
@@ -80,33 +79,43 @@ type podem struct {
 	// reusable scratch
 	xreach []bool
 
-	// v5tab caches per-cell five-valued evaluation tables.
-	v5tab map[*library.Cell]*logic.V5Table
+	// v5tab caches the five-valued evaluation table of every cell the
+	// circuit uses, indexed by library.Cell.Index.
+	v5tab []*logic.V5Table
+	// piIndex maps a PI net's ID to its position in c.PIs.
+	piIndex []int
 }
 
 func newPodem(c *netlist.Circuit, order []*netlist.Gate, levels []int, limit int) *podem {
 	p := &podem{
-		c:      c,
-		order:  order,
-		levels: levels,
-		vals:   make([]logic.V5, len(c.Nets)),
-		good:   make([]logic.V5, len(c.Nets)),
-		piVal:  make([]int8, len(c.PIs)),
-		limit:  limit,
-		xreach: make([]bool, len(c.Nets)),
-		v5tab:  make(map[*library.Cell]*logic.V5Table),
+		c:       c,
+		order:   order,
+		levels:  levels,
+		vals:    make([]logic.V5, len(c.Nets)),
+		good:    make([]logic.V5, len(c.Nets)),
+		piVal:   make([]int8, len(c.PIs)),
+		limit:   limit,
+		xreach:  make([]bool, len(c.Nets)),
+		piIndex: make([]int, len(c.Nets)),
 	}
 	for _, g := range c.Gates {
-		if _, ok := p.v5tab[g.Type]; !ok {
-			p.v5tab[g.Type] = g.Type.TT.BuildV5Table()
+		k := g.Type.Index
+		for len(p.v5tab) <= k {
+			p.v5tab = append(p.v5tab, nil)
 		}
+		if p.v5tab[k] == nil {
+			p.v5tab[k] = g.Type.TT.BuildV5Table()
+		}
+	}
+	for i, n := range c.PIs {
+		p.piIndex[n.ID] = i
 	}
 	return p
 }
 
 // evalGate evaluates a gate through the cached five-valued table.
 func (p *podem) evalGate(g *netlist.Gate, in []logic.V5) logic.V5 {
-	return p.v5tab[g.Type].Eval(in)
+	return p.v5tab[g.Type.Index].Eval(in)
 }
 
 type decision struct {
@@ -263,13 +272,11 @@ func (p *podem) injectStem(n *netlist.Net, v logic.V5) logic.V5 {
 // hostEval computes the cell-aware host gate's faulty-composite output: the
 // cell output flips exactly when the good input assignment equals hostAsg.
 func (p *podem) hostEval(g *netlist.Gate, gin []logic.V5, gv logic.V5) logic.V5 {
-	match := true // true: assignment known and matches
 	for i, v := range gin {
 		gb, known := v.Good()
 		if !known {
 			// Could still match or not: if mismatch is already
 			// certain, output is fault-free; otherwise unknown.
-			match = false
 			if !p.canMatchHost(gin) {
 				return gv
 			}
@@ -278,10 +285,6 @@ func (p *podem) hostEval(g *netlist.Gate, gin []logic.V5, gv logic.V5) logic.V5 
 		if uint(gb) != p.inj.hostAsg>>uint(i)&1 {
 			return gv // definite mismatch: fault-free behavior
 		}
-		_ = i
-	}
-	if !match {
-		return logic.X
 	}
 	gb, known := gv.Good()
 	if !known {
@@ -580,15 +583,11 @@ func (p *podem) outputCanError(g *netlist.Gate, in []logic.V5) bool {
 func (p *podem) backtrace(n *netlist.Net, v uint8) (int, uint8, bool) {
 	for {
 		if n.IsPI {
-			for i, pi := range p.c.PIs {
-				if pi == n {
-					if p.piVal[i] != -1 {
-						return 0, 0, false
-					}
-					return i, v, true
-				}
+			i := p.piIndex[n.ID]
+			if p.piVal[i] != -1 {
+				return 0, 0, false
 			}
-			return 0, 0, false
+			return i, v, true
 		}
 		g := n.Driver
 		pin, val, ok := p.backtraceStep(g, v)
@@ -677,13 +676,9 @@ func goodCanBe(g *netlist.Gate, in []logic.V5, v uint8) bool {
 func (p *podem) valsBacktrace(n *netlist.Net) (int, bool) {
 	for hops := 0; hops < len(p.c.Nets)+1; hops++ {
 		if n.IsPI {
-			for i, pi := range p.c.PIs {
-				if pi == n {
-					if p.piVal[i] == -1 {
-						return i, true
-					}
-					return 0, false
-				}
+			i := p.piIndex[n.ID]
+			if p.piVal[i] == -1 {
+				return i, true
 			}
 			return 0, false
 		}

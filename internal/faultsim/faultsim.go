@@ -5,6 +5,8 @@
 package faultsim
 
 import (
+	"math/bits"
+
 	"dfmresyn/internal/fault"
 	"dfmresyn/internal/logic"
 	"dfmresyn/internal/netlist"
@@ -22,25 +24,48 @@ type Test struct {
 
 // Engine simulates one circuit. It is not safe for concurrent use: the
 // scratch buffers for faulty-value propagation are reused across calls.
+//
+// Detects is event-driven (the PPSFP scheme of Waicukauski et al., 1985):
+// only the gates in the fault site's fanout cone whose inputs actually
+// change are evaluated, level by level, and only the nets they touch are
+// reset afterwards.
 type Engine struct {
-	c     *netlist.Circuit
-	sim   *sim.Simulator
-	order []*netlist.Gate
+	c   *netlist.Circuit
+	sim *sim.Simulator
 
-	fvals []logic.Word
-	dirty []bool
+	level   []int             // per gate ID: logic level of its output net
+	buckets [][]*netlist.Gate // per level: gates scheduled for evaluation
+	queued  []bool            // per gate ID: scheduled in its bucket
+	fvals   []logic.Word      // per net ID: faulty value, valid where touched
+	touched []bool            // per net ID: fvals holds the faulty value
+	trail   []*netlist.Net    // touched nets, in touch order
 }
 
 // New builds an engine for the circuit.
 func New(c *netlist.Circuit) *Engine {
 	s := sim.New(c)
-	return &Engine{
-		c:     c,
-		sim:   s,
-		order: s.Order(),
-		fvals: make([]logic.Word, len(c.Nets)),
-		dirty: make([]bool, len(c.Nets)),
+	e := &Engine{
+		c:       c,
+		sim:     s,
+		level:   make([]int, len(c.Gates)),
+		queued:  make([]bool, len(c.Gates)),
+		fvals:   make([]logic.Word, len(c.Nets)),
+		touched: make([]bool, len(c.Nets)),
 	}
+	netLevel := make([]int, len(c.Nets))
+	maxLevel := 0
+	for _, g := range s.Order() {
+		lv := 0
+		for _, in := range g.Fanin {
+			lv = max(lv, netLevel[in.ID])
+		}
+		lv++
+		netLevel[g.Out.ID] = lv
+		e.level[g.ID] = lv
+		maxLevel = max(maxLevel, lv)
+	}
+	e.buckets = make([][]*netlist.Gate, maxLevel+1)
+	return e
 }
 
 // Circuit returns the engine's circuit.
@@ -90,20 +115,22 @@ func (e *Engine) SimBlock(tests []Test) *Block {
 
 // Detects returns the word of tests in the block that detect f.
 func (e *Engine) Detects(f *fault.Fault, b *Block) logic.Word {
-	fvals := e.fvals
-	copy(fvals, b.Vals)
-	dirty := e.dirty
-	for i := range dirty {
-		dirty[i] = false
+	det := e.propagate(f, b)
+	for _, n := range e.trail {
+		e.touched[n.ID] = false
 	}
+	e.trail = e.trail[:0]
+	return det & b.Valid
+}
 
-	// forced rewires gate-level evaluation for branch faults: when the
-	// faulty site is a branch, only that (gate, pin) sees the forced
-	// value; the stem keeps its good value.
+// propagate injects f, evaluates the gates its effect reaches in level
+// order, and returns the PO difference word. The caller resets the trail.
+func (e *Engine) propagate(f *fault.Fault, b *Block) logic.Word {
+	// A branch fault forces one (gate, pin) only; the stem keeps its good
+	// value, so propagation starts at that gate.
 	var forcedGate *netlist.Gate
 	var forcedPin int
 	var forcedWord logic.Word
-	useForced := false
 
 	broadcast := func(v uint8) logic.Word {
 		if v&1 == 1 {
@@ -111,123 +138,154 @@ func (e *Engine) Detects(f *fault.Fault, b *Block) logic.Word {
 		}
 		return 0
 	}
-	goodInitOf := func(n *netlist.Net, v uint8) logic.Word {
-		// Word of patterns where the init-phase good value of n equals v.
-		if v&1 == 1 {
-			return b.InitVals[n.ID]
-		}
-		return ^b.InitVals[n.ID]
-	}
 
 	switch f.Model {
 	case fault.StuckAt:
 		if f.BranchGate == nil {
-			fvals[f.Net.ID] = broadcast(f.Value)
-			dirty[f.Net.ID] = true
+			e.set(f.Net, broadcast(f.Value))
 		} else {
 			forcedGate, forcedPin = f.BranchGate, f.BranchPin
 			forcedWord = broadcast(f.Value)
-			useForced = true
 		}
 
 	case fault.Transition:
 		// Launch condition: the site held Value in the init phase and
 		// should move to ~Value; the slow site keeps Value.
-		cond := b.HasInit & goodInitOf(f.Net, f.Value)
+		init := b.InitVals[f.Net.ID]
+		if f.Value&1 == 0 {
+			init = ^init
+		}
+		cond := b.HasInit & init
+		fv := (b.Vals[f.Net.ID] &^ cond) | (broadcast(f.Value) & cond)
 		if f.BranchGate == nil {
-			fvals[f.Net.ID] = (b.Vals[f.Net.ID] &^ cond) | (broadcast(f.Value) & cond)
-			if fvals[f.Net.ID] != b.Vals[f.Net.ID] {
-				dirty[f.Net.ID] = true
-			} else {
+			if fv == b.Vals[f.Net.ID] {
 				return 0
 			}
+			e.set(f.Net, fv)
 		} else {
-			forcedGate, forcedPin = f.BranchGate, f.BranchPin
-			forcedWord = (b.Vals[f.Net.ID] &^ cond) | (broadcast(f.Value) & cond)
-			useForced = true
+			forcedGate, forcedPin, forcedWord = f.BranchGate, f.BranchPin, fv
 		}
 
 	case fault.Bridge:
 		// Dominant model: the victim assumes the aggressor's good value.
-		if fvals[f.Net.ID] == b.Vals[f.Other.ID] {
+		if b.Vals[f.Net.ID] == b.Vals[f.Other.ID] {
 			return 0
 		}
-		fvals[f.Net.ID] = b.Vals[f.Other.ID]
-		dirty[f.Net.ID] = true
+		e.set(f.Net, b.Vals[f.Other.ID])
 
 	case fault.CellAware:
-		act := e.cellAwareActivation(f, b)
+		act := cellAwareActivation(f, b)
 		if act == 0 {
 			return 0
 		}
 		out := f.Gate.Out
-		fvals[out.ID] = b.Vals[out.ID] ^ act
-		dirty[out.ID] = true
+		e.set(out, b.Vals[out.ID]^act)
+	}
+	if forcedGate != nil {
+		e.schedule(forcedGate)
 	}
 
-	// Forward propagation in topological order.
 	var buf [8]logic.Word
-	for _, g := range e.order {
-		anyDirty := false
-		for _, in := range g.Fanin {
-			if dirty[in.ID] {
-				anyDirty = true
-				break
+	for lv := 0; lv < len(e.buckets); lv++ {
+		bucket := e.buckets[lv]
+		for i := 0; i < len(bucket); i++ {
+			g := bucket[i]
+			e.queued[g.ID] = false
+			in := buf[:len(g.Fanin)]
+			for k, fn := range g.Fanin {
+				in[k] = e.value(fn, b)
+			}
+			if g == forcedGate {
+				in[forcedPin] = forcedWord
+			}
+			if nv := g.Type.TT.EvalWord(in); nv != e.value(g.Out, b) {
+				e.set(g.Out, nv)
 			}
 		}
-		if !anyDirty && !(useForced && g == forcedGate) {
-			continue
-		}
-		in := buf[:len(g.Fanin)]
-		for i, fn := range g.Fanin {
-			in[i] = fvals[fn.ID]
-		}
-		if useForced && g == forcedGate {
-			in[forcedPin] = forcedWord
-		}
-		nv := g.Type.TT.EvalWord(in)
-		if nv != fvals[g.Out.ID] {
-			fvals[g.Out.ID] = nv
-			dirty[g.Out.ID] = true
-		}
+		e.buckets[lv] = bucket[:0]
 	}
 
+	// Only touched nets can differ from the good machine. A branch fault
+	// on a PO net is not observable at the stem, which is never touched.
 	var det logic.Word
-	for _, po := range e.c.POs {
-		det |= fvals[po.ID] ^ b.Vals[po.ID]
+	for _, n := range e.trail {
+		if n.IsPO {
+			det |= e.fvals[n.ID] ^ b.Vals[n.ID]
+		}
 	}
-	// A stem stuck-at on a PO net is directly observable even without
-	// downstream gates; the XOR above already covers it because fvals of
-	// the PO was forced. Branch faults on PO nets are not observable at
-	// the stem.
-	return det & b.Valid
+	return det
+}
+
+// value returns net n's value in the faulty machine.
+func (e *Engine) value(n *netlist.Net, b *Block) logic.Word {
+	if e.touched[n.ID] {
+		return e.fvals[n.ID]
+	}
+	return b.Vals[n.ID]
+}
+
+// set records n's faulty value and schedules the gates it feeds.
+func (e *Engine) set(n *netlist.Net, v logic.Word) {
+	if !e.touched[n.ID] {
+		e.touched[n.ID] = true
+		e.trail = append(e.trail, n)
+	}
+	e.fvals[n.ID] = v
+	for _, p := range n.Fanout {
+		e.schedule(p.Gate)
+	}
+}
+
+// schedule queues g for evaluation at its level, once.
+func (e *Engine) schedule(g *netlist.Gate) {
+	if e.queued[g.ID] {
+		return
+	}
+	e.queued[g.ID] = true
+	lv := e.level[g.ID]
+	e.buckets[lv] = append(e.buckets[lv], g)
 }
 
 // cellAwareActivation computes the word of tests whose gate-input
 // assignments activate the cell-aware fault (output flip at the final
-// phase).
-func (e *Engine) cellAwareActivation(f *fault.Fault, b *Block) logic.Word {
+// phase): the OR of the input minterms the behavior's masks select,
+// evaluated on all 64 patterns at once.
+func cellAwareActivation(f *fault.Fault, b *Block) logic.Word {
 	g := f.Gate
 	beh := f.Behavior
-	asgFinal := sim.GateInputAssignments(g, b.Vals)
 	var act logic.Word
-	for p := 0; p < b.N; p++ {
-		if beh.StaticMask>>asgFinal[p]&1 == 1 {
-			act |= 1 << uint(p)
-		}
+	for m := beh.StaticMask; m != 0; m &= m - 1 {
+		act |= minterm(g, b.Vals, uint(bits.TrailingZeros64(m)))
 	}
 	if len(beh.PairMask) > 0 && b.HasInit != 0 {
-		asgInit := sim.GateInputAssignments(g, b.InitVals)
-		for p := 0; p < b.N; p++ {
-			if b.HasInit>>uint(p)&1 == 0 || act>>uint(p)&1 == 1 {
+		for a1, m := range beh.PairMask {
+			if m == 0 {
 				continue
 			}
-			if beh.PairMask[asgInit[p]]>>asgFinal[p]&1 == 1 {
-				act |= 1 << uint(p)
+			init := minterm(g, b.InitVals, uint(a1)) & b.HasInit
+			if init == 0 {
+				continue
+			}
+			for ; m != 0; m &= m - 1 {
+				act |= init & minterm(g, b.Vals, uint(bits.TrailingZeros64(m)))
 			}
 		}
 	}
-	return act
+	return act & b.Valid
+}
+
+// minterm returns the word of patterns under which g's inputs carry the
+// packed assignment a (bit i is input i).
+func minterm(g *netlist.Gate, vals []logic.Word, a uint) logic.Word {
+	w := logic.AllOnes
+	for i, in := range g.Fanin {
+		if a>>uint(i)&1 == 1 {
+			w &= vals[in.ID]
+		} else {
+			w &^= vals[in.ID]
+		}
+	}
+	return w
 }
 
 // RunAll fault-simulates the whole test sequence against every fault in l
